@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .executor import parallel_map
 from .vibe import (
     SUITE,
     ascii_plot,
@@ -32,7 +33,6 @@ from .vibe import (
     run_benchmark,
 )
 from .via.constants import WaitMode
-from .vibe.executor import parallel_map
 
 PROVIDERS = ("mvia", "bvia", "clan")
 

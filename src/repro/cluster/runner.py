@@ -4,9 +4,9 @@ One *point* is a full simulation: a topology stood up fresh, servers
 and clients spawned, a fixed number of requests pushed through at one
 offered load, and the latency distribution plus goodput extracted.
 A *sweep* runs one point per (provider, rate) cell, fanned out through
-the suite's parallel executor — every point is an independent
-simulation with a :func:`~repro.vibe.executor.task_seed`-derived seed,
-so the report is byte-identical for any ``--jobs`` value.
+the parallel executor — every point is an independent simulation with
+a :func:`~repro.executor.task_seed`-derived seed, so the report is
+byte-identical for any ``--jobs`` value.
 
 The saturation knee is the largest offered load a provider still
 *delivers*: the last point whose goodput stays within
@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 
+from ..executor import _enable_warm_start, parallel_map, task_seed
 from ..obs.metrics import Histogram
-from ..vibe.executor import parallel_map, task_seed
 from .policy import DEFAULT_DEADLINE_US, RetryPolicy, ServerPolicy
 from .server import ClusterServer, make_service
 from .topology import build_testbed, make_topology
@@ -549,8 +549,6 @@ def run_cluster(providers: tuple, cfg: ClusterConfig,
         todo = list(enumerate(cells))
 
     if todo:
-        from ..vibe.executor import _enable_warm_start
-
         init = _enable_warm_start if warm_start else None
         try:
             fresh = parallel_map(_point_worker, [c for _, c in todo], jobs,

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from ..sim import Event, Resource, Simulator
 from ..sim.ids import id_space
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Packet", "Burst", "Channel", "Link", "DuplexPort"]
 
@@ -58,7 +59,8 @@ class Burst:
     packet) holds the per-packet timestamps a burst-aware observer needs
     without materialising per-packet events: ``t_start``/``t_end`` bound
     each packet's serialisation window and ``t_deliver`` is its arrival
-    at the channel sink.  Only :meth:`Channel.plan_burst` fills them.
+    at the channel sink.  Only :meth:`Channel.plan_burst` fills them, so
+    numpy is imported there and nowhere on the packet path.
     """
 
     packets: list
@@ -224,6 +226,8 @@ class Channel:
         runs as an exact scalar loop so every timestamp reproduces the
         event path's float operations bit for bit.
         """
+        import numpy as np
+
         sizes = np.asarray(sizes, dtype=np.float64)
         ser = self.per_packet_cost + (sizes + self.header_bytes) / self.bandwidth
         n = len(sizes)
@@ -280,7 +284,7 @@ class Channel:
             now = sim._now
             sizes = [p.size for p in packets]
             starts, ends, delivers = self.plan_burst(
-                np.full(len(packets), now), sizes)
+                [now] * len(packets), sizes)
             if isinstance(burst, Burst):
                 burst.t_start, burst.t_end, burst.t_deliver = (
                     starts, ends, delivers)

@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Generator
 
-import numpy as np
-
 from ..sim import Event, Simulator
 from .link import Channel, DuplexPort, Packet
 from .node import Node
@@ -223,6 +221,8 @@ class OutputPort:
         accounted ahead of them (``_last_at`` past the first arrival):
         an out-of-order merge must fall back to packet granularity.
         """
+        import numpy as np
+
         n = len(sizes)
         if not self.cut_through:
             # store-and-forward: the port itself adds no delay — queueing

@@ -9,6 +9,7 @@ a single design choice (see ``benchmarks/bench_ablation_design.py``).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 from ..hw.network import GIGANET, GIGE, MYRINET, Fabric, HostParams, NetworkParams
@@ -23,6 +24,9 @@ from .iba import IBA_1X, IBA_CHOICES, IBA_COSTS
 from .mvia import MVIA_CHOICES, MVIA_COSTS
 
 __all__ = ["ProviderSpec", "PROVIDERS", "Testbed", "get_spec"]
+
+#: module that owns the warm-start switch (see :meth:`Testbed.create`)
+_WARMCACHE = __name__.rsplit(".", 2)[0] + ".snap.warmcache"
 
 
 @dataclass(frozen=True)
@@ -162,9 +166,10 @@ class Testbed:
         results are byte-identical to a cold one.  Ineligible cells
         (spec objects, armed faults) silently build cold.
         """
-        from ..snap import warmcache
-
-        if warmcache.warm_enabled():
+        # warm start can only be on once repro.snap.warmcache is loaded,
+        # so a cold run never imports the snapshot package to find out
+        warmcache = sys.modules.get(_WARMCACHE)
+        if warmcache is not None and warmcache.warm_enabled():
             blob = warmcache.get_or_build(provider, kwargs)
             if blob is not None:
                 return cls.from_checkpoint(blob)

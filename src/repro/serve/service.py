@@ -4,7 +4,7 @@ Dependency-free (stdlib ``http.server``): a :class:`ThreadingHTTPServer`
 front end, a bounded per-client-fair :class:`~repro.serve.jobs.JobQueue`,
 and a persistent :class:`~concurrent.futures.ProcessPoolExecutor` whose
 workers are armed with the warm-start checkpoint pool
-(:func:`repro.vibe.executor._enable_warm_start`), so repeated sweeps
+(:func:`repro.executor._enable_warm_start`), so repeated sweeps
 never rebuild testbeds — the first cell per (provider, construction)
 key snapshots a testbed, every later cell restores it byte-identically.
 
@@ -35,9 +35,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from ..executor import _enable_warm_start, effective_jobs
 from ..obs.metrics import MetricsRegistry
 from ..snap.format import CODE_VERSION
-from ..vibe.executor import _enable_warm_start, effective_jobs
 from .cache import ResultCache
 from .execute import (assemble_cluster_result, cluster_cell_worker,
                       cluster_plan, point_metrics, run_spec_worker)
@@ -47,6 +47,19 @@ from .spec import ExperimentSpec, SpecError
 __all__ = ["ExperimentService", "DEFAULT_PORT"]
 
 DEFAULT_PORT = 8642
+
+#: largest request body the service reads; a spec is a few hundred bytes
+MAX_BODY_BYTES = 1 << 20
+#: seconds a connection may stall mid-request before the handler gives up
+REQUEST_TIMEOUT_S = 30.0
+
+
+class _RequestError(Exception):
+    """A request the HTTP layer refuses before it reaches the service."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ExperimentService:
@@ -309,6 +322,8 @@ class ExperimentService:
 def _make_handler(service: ExperimentService):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.0"
+        # a client that stalls mid-request frees its handler thread
+        timeout = REQUEST_TIMEOUT_S
 
         def log_message(self, *_args) -> None:  # silence per-request spam
             pass
@@ -335,8 +350,25 @@ def _make_handler(service: ExperimentService):
             self.wfile.write(body)
 
         def _body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise _RequestError(400, f"bad Content-Length {header!r}")
+            if length > MAX_BODY_BYTES:
+                # refused unread: the cap bounds memory, not just parsing
+                raise _RequestError(413, f"request body of {length} bytes "
+                                         f"exceeds {MAX_BODY_BYTES}")
+            try:
+                raw = self.rfile.read(length) if length else b"{}"
+            except TimeoutError:
+                raise _RequestError(408, "request body not received") \
+                    from None
+            if len(raw) < length:
+                raise _RequestError(400, "request body shorter than "
+                                         "Content-Length")
             try:
                 payload = json.loads(raw or b"{}")
             except ValueError as exc:
@@ -424,6 +456,8 @@ def _make_handler(service: ExperimentService):
                     self._json(404, {"error": f"no route {self.path!r}"})
             except SpecError as exc:
                 self._json(400, {"error": str(exc)})
+            except _RequestError as exc:
+                self._json(exc.status, {"error": str(exc)})
             except QueueFullError as exc:
                 self._json(429, {"error": str(exc)})
             except (BrokenPipeError, ConnectionResetError):

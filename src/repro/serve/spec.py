@@ -14,6 +14,7 @@ silently invalidates every cached result without any migration logic.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, field, fields
 
 from ..snap.format import snapshot_key
@@ -85,8 +86,16 @@ def _normalize_run(params: dict, seed: int) -> dict:
         "fidelity": fidelity,
     }
     if params.get("sizes"):
+        if not _takes_keyword(SUITE[benchmark], "sizes"):
+            raise SpecError(f"benchmark {benchmark!r} takes no sizes")
         out["sizes"] = tuple(int(s) for s in params["sizes"])
     return out
+
+
+def _takes_keyword(fn, name: str) -> bool:
+    """Whether ``fn`` can be called with keyword argument ``name``."""
+    params = inspect.signature(fn).parameters.values()
+    return any(p.name == name or p.kind is p.VAR_KEYWORD for p in params)
 
 
 def _normalize_cluster(params: dict, seed: int) -> dict:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+import sys
 from collections import OrderedDict, deque
 
 __all__ = ["fingerprint", "fingerprint_update"]
@@ -45,16 +46,17 @@ __all__ = ["fingerprint", "fingerprint_update"]
 _F64 = struct.Struct(">d")
 _I64 = struct.Struct(">q")
 
-try:  # numpy ships in the environment; gate anyway for minimal installs
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is available in CI
-    _np = None
-
 
 class _Hasher:
-    """One fingerprint walk: a SHA-256 plus a first-visit memo."""
+    """One fingerprint walk: a SHA-256 plus a first-visit memo.
 
-    def __init__(self) -> None:
+    ``np`` is the numpy module if some code already imported it, else
+    None: without numpy loaded no ndarray can exist in the graph, so
+    the walk never imports numpy itself.
+    """
+
+    def __init__(self, np=None) -> None:
+        self.np = np
         self.h = hashlib.sha256()
         # id(obj) -> ordinal of first visit; keepalive prevents CPython
         # from recycling an id mid-walk and aliasing two distinct objects
@@ -118,7 +120,7 @@ class _Hasher:
         if t is set or t is frozenset:
             digests = []
             for item in obj:
-                sub = _Hasher()
+                sub = _Hasher(self.np)
                 sub.walk(item)
                 digests.append(sub.h.digest())
             mix(b"S", _I64.pack(len(obj)), *sorted(digests))
@@ -127,8 +129,9 @@ class _Hasher:
             mix(b"G")
             self.walk(obj.getstate())
             return
-        if _np is not None and isinstance(obj, _np.ndarray):
-            arr = _np.ascontiguousarray(obj)
+        np = self.np
+        if np is not None and isinstance(obj, np.ndarray):
+            arr = np.ascontiguousarray(obj)
             mix(b"A", str(arr.dtype).encode(), _I64.pack(arr.ndim),
                 *(_I64.pack(d) for d in arr.shape), arr.tobytes())
             return
@@ -214,7 +217,7 @@ def _all_slots(cls: type) -> tuple[str, ...]:
 
 def fingerprint(obj) -> str:
     """SHA-256 hex digest of ``obj``'s reachable structural state."""
-    hasher = _Hasher()
+    hasher = _Hasher(sys.modules.get("numpy"))
     hasher.walk(obj)
     return hasher.h.hexdigest()
 

@@ -16,7 +16,7 @@ spawns live processes the state tier refuses).  Ineligible cells fall
 back to cold construction transparently.
 
 The pool is per-process.  Parallel sweeps enable it in each worker via
-the executor initializer (see ``repro.vibe.executor.parallel_map``);
+the executor initializer (see ``repro.executor.parallel_map``);
 workers rebuild the blob once on first use — deterministically, so the
 same bytes — and reuse it for every cell they are handed.
 """

@@ -37,7 +37,8 @@ from . import (
     reliability,
     segments,
 )
-from . import concurrency, dynamic, executor
+from ..executor import _enable_warm_start, parallel_map
+from . import concurrency, dynamic
 from .metrics import BenchResult
 
 __all__ = ["SUITE", "run_benchmark", "run_all", "DEFAULT_PROVIDERS"]
@@ -143,6 +144,11 @@ def run_benchmark(name: str, provider: str, **kwargs):
     return result
 
 
+def _run_named(name: str, provider, kwargs: dict):
+    """Picklable worker for :func:`run_all`: one benchmark, one provider."""
+    return run_benchmark(name, provider, **kwargs)
+
+
 def _stamp_meta(result, name: str, provider, kwargs: dict) -> None:
     """Attach deterministic run metadata to every returned BenchResult.
 
@@ -170,7 +176,7 @@ def run_all(providers=DEFAULT_PROVIDERS,
 
     ``jobs`` fans the independent ``(benchmark, provider)`` simulations
     out over that many worker processes (see
-    :mod:`repro.vibe.executor`); results are identical to ``jobs=1``
+    :mod:`repro.executor`); results are identical to ``jobs=1``
     because each task is a self-contained deterministic simulation and
     collection preserves task order.
 
@@ -186,10 +192,9 @@ def run_all(providers=DEFAULT_PROVIDERS,
     names = benchmarks or list(SUITE)
     tasks = [(name, provider, kwargs)
              for name in names for provider in providers]
-    init = executor._enable_warm_start if warm_start else None
+    init = _enable_warm_start if warm_start else None
     try:
-        results = executor.parallel_map(executor._run_named, tasks, jobs,
-                                        initializer=init)
+        results = parallel_map(_run_named, tasks, jobs, initializer=init)
     finally:
         if warm_start:
             # the serial path enabled the pool in this process; workers

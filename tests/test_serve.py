@@ -9,6 +9,7 @@ per-cell checkpoints, or served whole from the result cache.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 
 import pytest
@@ -97,6 +98,20 @@ def test_seed_and_params_change_the_key():
 def test_malformed_specs_raise_spec_error(bad):
     with pytest.raises(SpecError):
         ExperimentSpec.from_dict(bad)
+
+
+@pytest.mark.parametrize("bench", ["client_server", "nondata"])
+def test_sizes_on_a_benchmark_without_sizes_is_refused(bench):
+    spec = {"kind": "run", "params": {"benchmark": bench, "sizes": [16]}}
+    with pytest.raises(SpecError, match="takes no sizes"):
+        ExperimentSpec.from_dict(spec)
+
+
+def test_sizes_reach_benchmarks_that_take_them():
+    for bench in ("base_latency", "base_latency_blocking"):
+        spec = ExperimentSpec.from_dict(
+            {"kind": "run", "params": {"benchmark": bench, "sizes": [16]}})
+        assert spec.params["sizes"] == (16,)
 
 
 # -- job queue --------------------------------------------------------------
@@ -262,6 +277,58 @@ def test_http_errors_are_structured(client):
     with pytest.raises(ServiceError) as err:
         client.result("job-999999")
     assert err.value.status == 404
+
+
+def test_bad_run_spec_is_refused_at_submit_not_in_a_worker(client):
+    with pytest.raises(ServiceError) as err:
+        client.submit({"kind": "run", "params": {
+            "benchmark": "client_server", "sizes": [16]}})
+    assert err.value.status == 400
+    assert "takes no sizes" in str(err.value)
+
+
+def _raw_post(service, content_length: str, body: bytes = b"",
+              stall: bool = False) -> int:
+    """POST /jobs over a bare socket; returns the reply's status code.
+    ``stall`` keeps the connection open after the bytes sent."""
+    with socket.create_connection((service.host, service.port),
+                                  timeout=10) as sock:
+        sock.sendall(b"POST /jobs HTTP/1.0\r\n"
+                     b"Content-Type: application/json\r\n"
+                     b"Content-Length: " + content_length.encode()
+                     + b"\r\n\r\n" + body)
+        if not stall:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
+
+
+@pytest.mark.parametrize("length, body, status", [
+    ("abc", b"", 400),            # not an integer
+    ("-5", b"", 400),             # negative: would read to EOF
+    ("1000000000000", b"", 413),  # over the cap: refused unread
+    ("100", b'{"kind": ', 400),   # body ends before Content-Length
+])
+def test_request_body_reads_are_bounded(service, client, length, body,
+                                        status):
+    assert _raw_post(service, length, body) == status
+    assert client.health()["ok"] is True
+
+
+def test_stalled_request_body_times_out(tmp_path, monkeypatch):
+    import repro.serve.service as service_mod
+
+    monkeypatch.setattr(service_mod, "REQUEST_TIMEOUT_S", 0.5)
+    svc = ExperimentService(port=0, workers=1,
+                            cache_dir=str(tmp_path / "cache"))
+    svc.start()
+    try:
+        assert _raw_post(svc, "100", b'{"kind": ', stall=True) == 408
+        assert ServiceClient(svc.url).health()["ok"] is True
+    finally:
+        svc.stop()
 
 
 def test_health_and_metrics_endpoints(client):
