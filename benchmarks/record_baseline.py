@@ -300,44 +300,6 @@ def measure(repeats: int = 5) -> dict:
     }
 
 
-def _shard_comparison(repeats: int = 3) -> dict:
-    """Wall-clock of one cluster point at 1, 2 and 3 shards.
-
-    Trend only — never gated: whether partitioning wins depends on the
-    core count and on how much synchronization the workload forces
-    (every round is a pipe round-trip), so the recorded speedups are a
-    dashboard for the sharding overhead, not a floor.  The bytes, by
-    contrast, are gated hard: the point must be identical at every
-    shard count before any timing is recorded.
-    """
-    from repro.cluster import ClusterConfig, run_cluster_once
-    from repro.shard import run_cluster_once_sharded
-
-    cfg = ClusterConfig(nodes=4, clients=8, requests=16)
-
-    def best(fn):
-        fn()  # warm-up
-        t_best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            t_best = min(t_best, time.perf_counter() - t0)
-        return t_best
-
-    single_pt = run_cluster_once("clan", cfg, 8_000.0)
-    single_s = best(lambda: run_cluster_once("clan", cfg, 8_000.0))
-    out = {"shard_single_ms": single_s * 1e3}
-    for n in (2, 3):
-        pt, _ = run_cluster_once_sharded("clan", cfg, 8_000.0, shards=n,
-                                         workers="process")
-        assert pt == single_pt, f"shards={n} diverged; not recording"
-        t = best(lambda: run_cluster_once_sharded(
-            "clan", cfg, 8_000.0, shards=n, workers="process")[0])
-        out[f"shard_{n}_ms"] = t * 1e3
-        out[f"shard_{n}_speedup"] = single_s / t
-    return out
-
-
 def _cluster_workload() -> None:
     from repro.cluster import ClusterConfig, run_cluster_once
 
@@ -463,11 +425,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--cluster", action="store_true",
                     help="record/check the cluster-serving baseline "
                          "(BENCH_cluster.json) instead of the kernel one")
-    ap.add_argument("--shard", action="store_true",
-                    help="measure only the shard-scaling wall-clock "
-                         "(1/2/3 shards, byte-equality asserted first) "
-                         "and merge its keys into the cluster baseline; "
-                         "trend only, never gated")
     ap.add_argument("--warm", action="store_true",
                     help="measure only the warm-state reuse comparison "
                          "(cold warm-up vs checkpoint restore) and merge "
@@ -485,19 +442,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.cluster:
             return check_cluster(args.check, args.tolerance, args.repeats)
         return check(args.check, args.tolerance, args.repeats)
-
-    if args.shard:
-        if args.out == DEFAULT_OUT:
-            args.out = CLUSTER_OUT
-        shard = _shard_comparison(args.repeats)
-        merged = json.loads(args.out.read_text()) if args.out.exists() else {}
-        merged.update(shard)
-        args.out.write_text(json.dumps(merged, indent=2) + "\n")
-        print(f"updated {args.out}")
-        for k, v in shard.items():
-            print(f"  {k}: {v:,.3f}" if isinstance(v, float)
-                  else f"  {k}: {v}")
-        return 0
 
     if args.serve:
         serve = _serve_comparison(args.repeats)

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from ..providers.registry import Testbed, get_spec
 
-__all__ = ["Topology", "TOPOLOGY_KINDS", "make_topology", "build_testbed",
-           "shard_groups"]
+__all__ = ["Topology", "TOPOLOGY_KINDS", "make_topology", "build_testbed"]
 
 TOPOLOGY_KINDS = ("star", "dumbbell", "fattree")
 
@@ -96,36 +95,6 @@ def make_topology(kind: str, nodes: int, servers: int = 1) -> Topology:
     return Topology(kind, server_names, client_names,
                     leaf_groups=tuple(tuple(g) for g in groups),
                     uplink_factor=float(per_leaf))
-
-
-def shard_groups(topo: Topology,
-                 shards: int) -> tuple[tuple[str, ...], ...]:
-    """Deterministic node-to-shard assignment (``repro.shard``).
-
-    A pure function of the topology and the shard count — no RNG, no
-    hashing — so every worker (and a re-run on another machine) derives
-    the identical partition:
-
-    * flat (star): node ``i`` in ``topo.nodes`` order goes to shard
-      ``i % shards`` — round-robin, every cut is a node uplink.
-    * tiered (dumbbell/fattree): leaf ``li`` goes to shard
-      ``li % shards``, keeping each leaf switch whole so intra-leaf
-      traffic never crosses a cut and the only boundary channels are
-      leaf<->spine uplinks.
-
-    Some groups may be empty (more shards than leaves); an empty shard
-    simply idles at every horizon.
-    """
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    groups: list[list[str]] = [[] for _ in range(shards)]
-    if topo.leaf_groups is None:
-        for i, name in enumerate(topo.nodes):
-            groups[i % shards].append(name)
-    else:
-        for li, leaf in enumerate(topo.leaf_groups):
-            groups[li % shards].extend(leaf)
-    return tuple(tuple(g) for g in groups)
 
 
 def build_testbed(provider: str, topo: Topology, seed: int = 0,

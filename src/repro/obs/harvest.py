@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .metrics import MetricsRegistry
 
-__all__ = ["harvest_testbed", "harvest_into", "harvest_shard_into"]
+__all__ = ["harvest_testbed", "harvest_into"]
 
 
 def harvest_testbed(tb) -> MetricsRegistry:
@@ -75,63 +75,6 @@ def harvest_into(registry: MetricsRegistry, tb) -> MetricsRegistry:
             port = switch._ports.get(name)
             if port is not None:
                 _harvest_port(registry, f"wire.{name}.port", port)
-    return registry
-
-
-def harvest_shard_into(registry: MetricsRegistry, tb, owned,
-                       shard_index: int, counters: dict) -> MetricsRegistry:
-    """Publish one shard's slice of the testbed counters.
-
-    The owned-node restriction makes the per-shard registries disjoint
-    on hardware names, so the merge
-    (:func:`repro.shard.merge.merge_registries`) can treat any other
-    collision as an ownership bug; the deliberately shared names —
-    ``wire.switch.forwarded`` and the ``faults.*`` totals — partition
-    by where the traffic ran and merge additively.  Kernel ``sim.*``
-    totals are omitted entirely: they describe one shard's event loop,
-    not the simulated hardware, and differ across shard counts by
-    construction.  ``counters`` lands under ``shard.<i>.*`` (sync
-    stalls, records exchanged, horizon advances).
-    """
-    owned = frozenset(owned)
-    for name in tb.node_names:
-        if name not in owned:
-            continue
-        node = tb.fabric.node(name)
-        _harvest_cpu(registry, name, node.cpu)
-        _harvest_nic(registry, name, node.nic)
-
-    for name, provider in sorted(tb.providers.items()):
-        if name in owned:
-            _harvest_via(registry, name, provider)
-
-    injector = getattr(tb, "injector", None)
-    if injector is not None and injector.armed:
-        for kind, fired in sorted(injector.counters.items()):
-            registry.inc(f"faults.{kind}.injected", fired)
-
-    switch = getattr(tb.fabric, "switch", None)
-    if switch is not None:
-        # every shard contributes the forwards it replayed (additive)
-        registry.inc("wire.switch.forwarded", switch.forwarded)
-        for name in tb.node_names:
-            if name not in owned:
-                continue
-            node = tb.fabric.node(name)
-            port = node.nic.port
-            if port is not None:
-                _harvest_channel(registry, f"wire.{name}.up",
-                                 port.out_channel)
-            down = switch._downlinks.get(name)
-            if down is not None:
-                _harvest_channel(registry, f"wire.{name}.down", down)
-            port = switch._ports.get(name)
-            if port is not None:
-                _harvest_port(registry, f"wire.{name}.port", port)
-
-    prefix = f"shard.{shard_index}"
-    for key in sorted(counters):
-        registry.inc(f"{prefix}.{key}", counters[key])
     return registry
 
 

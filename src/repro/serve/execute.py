@@ -130,5 +130,4 @@ def cluster_cell_worker(provider: str, cfg, rate, check: bool) -> dict:
     """
     from ..cluster.runner import _point_worker
 
-    point, _stats = _point_worker(provider, cfg, rate, check)
-    return point
+    return _point_worker(provider, cfg, rate, check)

@@ -69,6 +69,7 @@ def _providers(params: dict) -> tuple:
 
 
 def _normalize_run(params: dict, seed: int) -> dict:
+    from ..providers.registry import get_spec
     from ..vibe.suite import SUITE
 
     _require(params, {"benchmark", "provider", "fidelity", "sizes"}, "run")
@@ -85,6 +86,7 @@ def _normalize_run(params: dict, seed: int) -> dict:
         "provider": str(params.get("provider", "clan")),
         "fidelity": fidelity,
     }
+    get_spec(out["provider"])  # unknown provider: KeyError -> SpecError
     if params.get("sizes"):
         if not _takes_keyword(SUITE[benchmark], "sizes"):
             raise SpecError(f"benchmark {benchmark!r} takes no sizes")
@@ -101,15 +103,15 @@ def _takes_keyword(fn, name: str) -> bool:
 def _normalize_cluster(params: dict, seed: int) -> dict:
     from ..cluster.runner import (ClusterConfig, QUICK_RATE_GRID,
                                   resolve_rates)
+    from ..cluster.topology import make_topology
 
     cfg_fields = {f.name for f in fields(ClusterConfig)} - {"seed"}
     _require(params, cfg_fields | {"providers", "rates", "check", "quick"},
              "cluster")
     cfg_kwargs = {k: params[k] for k in cfg_fields if k in params}
-    try:
-        cfg = ClusterConfig(seed=seed, **cfg_kwargs)
-    except TypeError as exc:
-        raise SpecError(f"bad cluster config: {exc}") from None
+    cfg = ClusterConfig(seed=seed, **cfg_kwargs)
+    # refuse a layout no worker could build, at submit time
+    make_topology(cfg.topology, cfg.nodes, cfg.servers)
     rates = params.get("rates")
     if rates is not None:
         rates = tuple(float(r) for r in rates)
@@ -163,7 +165,9 @@ class ExperimentSpec:
         """Validate and normalise a JSON-decoded spec.
 
         Raises :class:`SpecError` with an actionable message on any
-        malformed input — the service turns these into HTTP 400s.
+        malformed input — the service turns these into HTTP 400s.  A
+        value a normaliser cannot coerce (``ValueError``/``TypeError``)
+        is malformed input too, never an internal error.
         """
         if not isinstance(data, dict):
             raise SpecError(f"spec must be an object, got "
@@ -182,8 +186,12 @@ class ExperimentSpec:
                             f"got {data.get('seed')!r}") from None
         try:
             params = _NORMALIZERS[kind](dict(params), seed)
+        except SpecError:
+            raise
         except KeyError as exc:
             raise SpecError(str(exc)) from None
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"bad {kind} spec: {exc}") from None
         return cls(kind=kind, params=params, seed=seed)
 
     def to_dict(self) -> dict:

@@ -63,7 +63,6 @@ match the pre-fast-path kernel exactly (golden-value tests in
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import deque
 from collections.abc import Generator, Iterable
@@ -697,48 +696,6 @@ class Simulator:
             bucket.append((seq, t))
         return t
 
-    def timeout_at(self, at: float, value: Any = None) -> Timeout:
-        """A :class:`Timeout` that fires at the *absolute* time ``at``.
-
-        ``timeout(at - now)`` is not the same thing: the kernel would
-        schedule at ``now + (at - now)``, which can differ from ``at``
-        by an ulp.  Cross-shard packet injection (:mod:`repro.shard`)
-        needs deliveries to land at the exact float timestamp the source
-        shard computed, so this schedules at ``when = float(at)``
-        directly.  Scheduling before ``now`` is a causality violation
-        and raises.
-        """
-        when = float(at)
-        if when < self._now:
-            raise ValueError(
-                f"timeout_at({when}) is in the past (now={self._now})"
-            )
-        pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-        else:
-            t = _TIMEOUT_NEW(Timeout)
-            t.sim = self
-        lpool = self._list_pool
-        t.callbacks = lpool.pop() if lpool else []
-        t._value = value
-        t._ok = True
-        t._scheduled = True
-        t._defused = False
-        t.delay = when - self._now
-        self._seq = seq = self._seq + 1
-        heap = self._heap
-        if len(heap) < _BUCKET_MIN_HEAP:
-            heappush(heap, (when, seq, t))
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(when)
-            if bucket is None:
-                buckets[when] = bucket = []
-                heappush(heap, (when, seq, bucket))
-            bucket.append((seq, t))
-        return t
-
     def process(self, generator: Generator, name: str | None = None) -> Process:
         return Process(self, generator, name)
 
@@ -1014,37 +971,6 @@ class Simulator:
         if deadline != float("inf"):
             self._now = deadline
         return None
-
-    def run_below(self, horizon: float) -> None:
-        """Run every event *strictly before* ``horizon``, then park there.
-
-        The resumable cursor of the sharded scheduler
-        (:mod:`repro.shard.sync`): a shard granted the horizon ``H`` may
-        execute all events with ``time < H`` but none at or after it, and
-        its clock must land exactly at the boundary so later
-        :meth:`timeout_at` injections at ``H`` or beyond are valid.
-        Implemented as a drain to ``nextafter(horizon, -inf)`` — the
-        largest float strictly below the horizon — which doubles as the
-        fast-forward boundary (:meth:`ff_horizon`), so a flow-level burst
-        can never synthesize a completion the bounded run would have
-        truncated.
-
-        Repeated calls with increasing horizons resume where the last one
-        stopped; a horizon at or below ``now`` is a no-op (the clock
-        never moves backwards).
-        """
-        horizon = float(horizon)
-        if not math.isfinite(horizon):
-            raise ValueError(f"run_below() needs a finite horizon, got {horizon}")
-        deadline = math.nextafter(horizon, -math.inf)
-        if deadline < self._now:
-            return
-        self._run_until = deadline
-        try:
-            self._drain(deadline, None)
-        finally:
-            self._run_until = float("inf")
-        self._now = deadline
 
     def peek(self) -> float:
         """Time of the next event, or +inf if the queue is empty."""

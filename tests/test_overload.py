@@ -5,7 +5,7 @@ retry engine (exactly-once accounting, liveness against a dead server),
 the server admission path (shedding, NAKs, connection caps), per-tenant
 SLO verdicts and the ``slo_knee``, and the byte-determinism contract:
 a report with retries and shedding enabled is byte-identical for any
-``--jobs`` and any ``--shards N``.
+``--jobs``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterConfig, run_cluster, run_cluster_once
 from repro.cluster.policy import (DEFAULT_DEADLINE_US, RetryPolicy,
                                   ServerPolicy)
-from repro.cluster.runner import slo_knee
-from repro.shard import run_cluster_once_sharded
+from repro.cluster.runner import assemble_report, slo_knee
 
 # a config comfortably past the knee: fixed:100 caps one server at
 # 10k rps while four clients offer 48k, so shedding and retries engage
@@ -176,6 +175,18 @@ def test_healthy_point_passes_slo():
         assert ten["completed"] == ten["expected"]
 
 
+def test_summary_prints_per_tenant_slo_verdicts(overload_point):
+    healthy = assemble_report(("mvia",), HEALTHY, (2_000.0,),
+                              [run_cluster_once("mvia", HEALTHY, 2_000.0)])
+    assert "      slo: t0 ok, t1 ok" in healthy.summary().splitlines()
+    overloaded = assemble_report(("mvia",), OVERLOAD, (48_000.0,),
+                                 [overload_point]).summary()
+    assert "slo knee" in overloaded and "shed" in overloaded
+    verdicts = [line for line in overloaded.splitlines()
+                if line.startswith("      slo: ")]
+    assert len(verdicts) == 1 and "FAIL(" in verdicts[0]
+
+
 def test_connection_cap_rejects_surplus_dials():
     cfg = replace(HEALTHY, server_policy="conns=4", tenants=1,
                   mode="closed", requests=4)
@@ -243,21 +254,12 @@ def test_retry_client_survives_dead_server():
 
 @given(seed=st.integers(min_value=0, max_value=31))
 @settings(max_examples=3, deadline=None)
-def test_report_bytes_identical_across_jobs_and_shards(seed):
+def test_report_bytes_identical_across_jobs(seed):
     cfg = replace(OVERLOAD, requests=4, seed=seed)
     rates = (48_000.0,)
     serial = run_cluster(("mvia",), cfg, rates=rates, jobs=1)
     fanned = run_cluster(("mvia",), cfg, rates=rates, jobs=2)
     assert serial.to_json() == fanned.to_json()
-    sharded = run_cluster(("mvia",), cfg, rates=rates, jobs=1, shards=3,
-                          shard_workers="inline")
-    assert serial.to_json() == sharded.to_json()
-
-
-def test_sharded_point_matches_single_heap():
-    pt, _stats = run_cluster_once_sharded("mvia", OVERLOAD, 48_000.0,
-                                          shards=2, workers="inline")
-    assert pt == run_cluster_once("mvia", OVERLOAD, 48_000.0)
 
 
 # ---------------------------------------------------------------------------

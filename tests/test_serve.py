@@ -77,6 +77,26 @@ def test_quick_flag_and_spelled_out_grid_share_one_key():
     assert quick.result_key() == spelled.result_key()
 
 
+def test_submit_flags_describe_the_same_canonical_spec():
+    from repro.cli import _submit_spec, build_parser
+
+    parse = build_parser().parse_args
+    cluster = _submit_spec(parse(
+        ["submit", "cluster", "--quick", "--provider", "mvia,clan",
+         "--nodes", "4", "--clients", "4", "--requests", "8"]))
+    spelled = {"kind": "cluster", "seed": 0, "params": {
+        "quick": True, "providers": ["mvia", "clan"], "nodes": 4,
+        "clients": 4, "requests": 8}}
+    assert (ExperimentSpec.from_dict(cluster).result_key()
+            == ExperimentSpec.from_dict(spelled).result_key())
+    run = _submit_spec(parse(
+        ["submit", "run", "base_latency", "--sizes", "4,64", "--seed", "3"]))
+    assert ExperimentSpec.from_dict(run).params["sizes"] == (4, 64)
+    chaos = _submit_spec(parse(
+        ["submit", "chaos", "--provider", "mvia", "--quick"]))
+    assert ExperimentSpec.from_dict(chaos).params["providers"] == ("mvia",)
+
+
 def test_seed_and_params_change_the_key():
     base = ExperimentSpec.from_dict(_cluster_spec(0))
     assert base.result_key() != \
@@ -288,9 +308,10 @@ def test_bad_run_spec_is_refused_at_submit_not_in_a_worker(client):
 
 
 def _raw_post(service, content_length: str, body: bytes = b"",
-              stall: bool = False) -> int:
-    """POST /jobs over a bare socket; returns the reply's status code.
-    ``stall`` keeps the connection open after the bytes sent."""
+              stall: bool = False) -> tuple[int, dict]:
+    """POST /jobs over a bare socket; returns the reply's status code
+    and decoded JSON body.  ``stall`` keeps the connection open after
+    the bytes sent."""
     with socket.create_connection((service.host, service.port),
                                   timeout=10) as sock:
         sock.sendall(b"POST /jobs HTTP/1.0\r\n"
@@ -302,7 +323,14 @@ def _raw_post(service, content_length: str, body: bytes = b"",
         reply = b""
         while chunk := sock.recv(65536):
             reply += chunk
-    return int(reply.split(b" ", 2)[1])
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(payload)
+
+
+def _spec_body(case_id: str, kind: str, **params):
+    """A well-framed POST of one spec the service must refuse with 400."""
+    body = json.dumps({"spec": {"kind": kind, "params": params}}).encode()
+    return pytest.param(str(len(body)), body, 400, id=case_id)
 
 
 @pytest.mark.parametrize("length, body, status", [
@@ -310,10 +338,21 @@ def _raw_post(service, content_length: str, body: bytes = b"",
     ("-5", b"", 400),             # negative: would read to EOF
     ("1000000000000", b"", 413),  # over the cap: refused unread
     ("100", b'{"kind": ', 400),   # body ends before Content-Length
+    # spec values no normaliser can coerce
+    _spec_body("sizes-str", "run", benchmark="base_latency", sizes="abc"),
+    _spec_body("sizes-int", "run", benchmark="base_latency", sizes=5),
+    _spec_body("rates-str", "cluster", rates=["x"]),
+    # specs that would otherwise fail later, in a worker
+    _spec_body("nodes-str", "cluster", nodes="abc"),
+    _spec_body("topology", "cluster", topology="ring"),
+    _spec_body("servers", "cluster", nodes=2, servers=9),
+    _spec_body("provider", "run", benchmark="base_latency", provider="nope"),
 ])
 def test_request_body_reads_are_bounded(service, client, length, body,
                                         status):
-    assert _raw_post(service, length, body) == status
+    got, reply = _raw_post(service, length, body)
+    assert got == status
+    assert isinstance(reply["error"], str) and reply["error"]
     assert client.health()["ok"] is True
 
 
@@ -325,7 +364,7 @@ def test_stalled_request_body_times_out(tmp_path, monkeypatch):
                             cache_dir=str(tmp_path / "cache"))
     svc.start()
     try:
-        assert _raw_post(svc, "100", b'{"kind": ', stall=True) == 408
+        assert _raw_post(svc, "100", b'{"kind": ', stall=True)[0] == 408
         assert ServiceClient(svc.url).health()["ok"] is True
     finally:
         svc.stop()
